@@ -13,11 +13,9 @@
 //!   `#[global_allocator]` wrapper — the workspace pool's contract is
 //!   that this is exactly zero;
 //! * **host-side prep throughput** at the *full* `k = 64³` acceptance
-//!   shape `(128, 896, 262144)`: the pre-workspace prep path (fresh
-//!   allocations, materialise-always, serial quantise/split) re-created
-//!   here in the bench, timed against the pooled prep path the library
-//!   now runs, giving an honest `speedup_vs_legacy` for the host-side
-//!   work without timing the (unchanged) FP32 kernel.
+//!   shape `(128, 896, 262144)`: the pooled prep path the library runs
+//!   (operand views, rounded copies, split planes), timed and
+//!   allocation-counted without the FP32 kernel.
 //!
 //! Every `calls[]` row also carries the **modelled device time** for the
 //! full Table VII shape on the `xe-gpu` stack model, plus the modelled
@@ -296,53 +294,6 @@ fn measure(warmup: usize, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
     (elapsed.as_nanos() as f64 / reps as f64, allocs as f64 / reps as f64)
 }
 
-/// The **pre-workspace** host-side prep for one `sgemm` call: always
-/// materialise op(A)/op(B) into fresh `Vec`s, allocate fresh rounded
-/// copies / split planes, allocate the product accumulator. This is the
-/// code shape the library ran before the pool existed; it lives here so
-/// `speedup_vs_legacy` is measured, not remembered.
-fn legacy_prep(mode: ComputeMode, a: &[f32], b: &[f32], m: usize, n: usize, k: usize) {
-    // Materialise op(A) (Op::None: straight row copy — ld == cols here,
-    // but the legacy path copied regardless).
-    let mut am = Vec::with_capacity(m * k);
-    am.extend_from_slice(a);
-    let mut bm = Vec::with_capacity(k * n);
-    bm.extend_from_slice(b);
-    match mode {
-        ComputeMode::Standard | ComputeMode::Complex3m => {}
-        ComputeMode::FloatToTf32 => {
-            let mut ar = vec![0.0f32; am.len()];
-            let mut br = vec![0.0f32; bm.len()];
-            tf32::quantize_slice(&am, &mut ar);
-            tf32::quantize_slice(&bm, &mut br);
-            black_box((&ar[0], &br[0]));
-        }
-        ComputeMode::FloatToBf16 => {
-            let mut ar = vec![0.0f32; am.len()];
-            let mut br = vec![0.0f32; bm.len()];
-            bf16::quantize_slice(&am, &mut ar);
-            bf16::quantize_slice(&bm, &mut br);
-            black_box((&ar[0], &br[0]));
-        }
-        ComputeMode::FloatToBf16x2 | ComputeMode::FloatToBf16x3 => {
-            let depth = mode.split_depth().expect("split mode");
-            let mut ap: Vec<Vec<f32>> = (0..depth).map(|_| vec![0.0f32; am.len()]).collect();
-            let mut bp: Vec<Vec<f32>> = (0..depth).map(|_| vec![0.0f32; bm.len()]).collect();
-            {
-                let mut views: Vec<&mut [f32]> = ap.iter_mut().map(|p| &mut p[..]).collect();
-                split::split_slice(&am, &mut views);
-            }
-            {
-                let mut views: Vec<&mut [f32]> = bp.iter_mut().map(|p| &mut p[..]).collect();
-                split::split_slice(&bm, &mut views);
-            }
-            black_box((&ap[0][0], &bp[0][0]));
-        }
-    }
-    let acc = vec![0.0f32; m * n];
-    black_box((&am[0], &bm[0], &acc[0]));
-}
-
 /// The **current** host-side prep: zero-copy operand views (dense,
 /// `Op::None`), pooled scratch, chunked `round_slice_into` /
 /// `split_slice_into` — exactly what `real_gemm_impl` + `matmul_acc_lowp`
@@ -536,36 +487,27 @@ fn main() {
         }
     }
 
-    // --- host-side prep: legacy vs pooled at the full acceptance shape ---
+    // --- host-side prep at the full acceptance shape ---
     let (pm, pn) = PREP_SHAPE;
     let pk = o.prep_k;
     let pa: Vec<f32> = (0..pm * pk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let pb: Vec<f32> = (0..pk * pn).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     for mode in SGEMM_MODES {
-        let (legacy_ns, _) =
-            measure(1, o.reps, || legacy_prep(mode, &pa, &pb, pm, pn, pk));
         let (pooled_ns, pooled_allocs) =
             measure(o.warmup.max(2), o.reps, || pooled_prep(mode, &pa, &pb, pm, pn, pk));
-        let speedup = legacy_ns / pooled_ns.max(1.0);
         eprintln!(
-            "prep  {:>16} ({pm}, {pn}, {pk}): legacy {:>12.0} ns, pooled {:>12.0} ns, {:.2}x, \
-             {pooled_allocs} allocs/call",
+            "prep  {:>16} ({pm}, {pn}, {pk}): pooled {:>12.0} ns, {pooled_allocs} allocs/call",
             mode_label(mode),
-            legacy_ns,
-            pooled_ns,
-            speedup
+            pooled_ns
         );
         if pooled_allocs > 0.0 {
             dirty_modes.push(format!("PREP/{} ({pm},{pn},{pk})", mode_label(mode)));
         }
         prep_lines.push(format!(
             "    {{\"mode\": \"{}\", \"m\": {pm}, \"n\": {pn}, \"k\": {pk}, \
-             \"legacy_ns_per_call\": {}, \"pooled_ns_per_call\": {}, \
-             \"speedup_vs_legacy\": {:.2}, \"pooled_allocs_per_call\": {pooled_allocs}}}",
+             \"pooled_ns_per_call\": {}, \"pooled_allocs_per_call\": {pooled_allocs}}}",
             mode_label(mode),
-            json_f64(legacy_ns),
-            json_f64(pooled_ns),
-            speedup
+            json_f64(pooled_ns)
         ));
     }
 

@@ -7,9 +7,11 @@
 //! also receives a *modelled device execution time*, which the verbose log
 //! records alongside the measured host wall time. The Fig. 3 / Table VI
 //! harnesses read the modelled time; the host time is only diagnostic.
+//! Like the compute mode, an installed model applies to the calling
+//! thread's calls only.
 
+use crate::config::with_state;
 use crate::mode::ComputeMode;
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// Element domain of a GEMM call, for the device model's flop accounting.
@@ -100,21 +102,21 @@ pub trait DeviceTimeModel: Send + Sync {
     fn gemm_time(&self, desc: &GemmDesc) -> f64;
 }
 
-static MODEL: RwLock<Option<Arc<dyn DeviceTimeModel>>> = RwLock::new(None);
-
-/// Installs (or replaces) the global device time model.
+/// Installs (or replaces) the calling thread's device time model.
 pub fn install_device_model(model: Arc<dyn DeviceTimeModel>) {
-    *MODEL.write() = Some(model);
+    with_state(|s| s.device_model = Some(model));
 }
 
-/// Removes the global device time model.
+/// Removes the calling thread's device time model.
 pub fn clear_device_model() {
-    *MODEL.write() = None;
+    with_state(|s| s.device_model = None);
 }
 
-/// Prices a GEMM with the installed model, if any.
+/// Prices a GEMM with the calling thread's model, if any.
 pub fn modelled_gemm_time(desc: &GemmDesc) -> Option<f64> {
-    MODEL.read().as_ref().map(|m| m.gemm_time(desc))
+    // Clone out of the state so the model runs outside its borrow.
+    let model = with_state(|s| s.device_model.clone());
+    model.map(|m| m.gemm_time(desc))
 }
 
 #[cfg(test)]

@@ -6,23 +6,23 @@
 //! rollback and precision-escalation paths can be exercised
 //! reproducibly, with no randomness at run time.
 //!
-//! Every GEMM call in the process increments a monotonic call counter
-//! (cheap relaxed atomic; faults themselves cost nothing while no plan
-//! is installed). A plan's triggers are indexed *relative to the
-//! counter value at install time*, so a test gets stable indices
-//! regardless of what ran earlier in the process. The counter is never
-//! reset: after a rollback the re-run's calls have fresh indices, so a
-//! [`Trigger::Once`] fault does not re-fire on the retry.
+//! Every GEMM call increments the calling thread's monotonic call
+//! counter (faults themselves cost nothing while no plan is installed).
+//! Plans, like the counter, belong to the thread that installs them. A
+//! plan's triggers are indexed *relative to the counter value at install
+//! time*, so a test gets stable indices regardless of what ran earlier on
+//! the thread. The counter is never reset: after a rollback the re-run's
+//! calls have fresh indices, so a [`Trigger::Once`] fault does not
+//! re-fire on the retry.
 //!
 //! Sites can be scoped to a routine (`"CGEMM"`) and/or to the compute
 //! mode active at call time. Mode scoping models a fault specific to
 //! the low-precision matrix engines: after the supervisor escalates to
 //! a stronger mode the fault stops firing.
 
+use crate::config::with_state;
 use crate::mode::ComputeMode;
 use dcmesh_numerics::Complex;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// What to do to the targeted output element.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,7 +158,7 @@ pub struct BitFlip {
 /// <seed>:<call>@<bit>[,<call>@<bit>...]      e.g.  "7:12@62,40@30"
 /// ```
 ///
-/// Each flip fires once, at its relative call index. The shared GEMM
+/// Each flip fires once, at its relative call index. The thread's GEMM
 /// call counter is never reset, so after a supervisor rollback the
 /// replayed calls have fresh indices and the flip does **not** re-fire —
 /// recovery from a detected flip is bit-identical to a clean run.
@@ -246,50 +246,37 @@ impl BitFlipPlan {
     }
 }
 
-/// Installs a [`BitFlipPlan`], replacing any installed [`FaultPlan`].
-/// Call indices count GEMM calls from this moment.
+/// Installs a [`BitFlipPlan`] on the calling thread, replacing any
+/// installed [`FaultPlan`]. Call indices count the thread's GEMM calls
+/// from this moment.
 pub fn install_bit_flip_plan(plan: &BitFlipPlan) {
     install_fault_plan(plan.to_fault_plan());
 }
 
-struct Installed {
+pub(crate) struct FaultInstalled {
     plan: FaultPlan,
     base_call: u64,
 }
 
-static INSTALLED: Mutex<Option<Installed>> = Mutex::new(None);
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-static INJECTED: AtomicU64 = AtomicU64::new(0);
-
-/// Installs `plan`, replacing any previous one. Trigger indices count
-/// GEMM calls from this moment.
+/// Installs `plan` on the calling thread, replacing any previous one.
+/// Trigger indices count the thread's GEMM calls from this moment.
 pub fn install_fault_plan(plan: FaultPlan) {
-    let mut guard = INSTALLED.lock();
-    *guard = Some(Installed { plan, base_call: CALLS.load(Ordering::Relaxed) });
-    ACTIVE.store(true, Ordering::Relaxed);
+    with_state(|s| s.fault = Some(FaultInstalled { plan, base_call: s.gemm_calls }));
 }
 
-/// Removes the installed plan (normal, fault-free operation).
+/// Removes the calling thread's plan (normal, fault-free operation).
 pub fn clear_fault_plan() {
-    let mut guard = INSTALLED.lock();
-    *guard = None;
-    ACTIVE.store(false, Ordering::Relaxed);
+    with_state(|s| s.fault = None);
 }
 
-/// True while a plan is installed.
-pub fn fault_plan_installed() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Total GEMM calls made by this process.
+/// Total GEMM calls made by the calling thread.
 pub fn gemm_call_count() -> u64 {
-    CALLS.load(Ordering::Relaxed)
+    with_state(|s| s.gemm_calls)
 }
 
-/// Total faults injected by this process.
+/// Total faults injected into the calling thread's GEMM calls.
 pub fn injected_fault_count() -> u64 {
-    INJECTED.load(Ordering::Relaxed)
+    with_state(|s| s.injected_faults)
 }
 
 /// Element types a fault can corrupt.
@@ -350,28 +337,30 @@ pub(crate) fn post_gemm<T: FaultTarget>(
     n: usize,
     ldc: usize,
 ) {
-    let call = CALLS.fetch_add(1, Ordering::Relaxed);
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    let guard = INSTALLED.lock();
-    let Some(installed) = guard.as_ref() else { return };
-    let rel_call = call.saturating_sub(installed.base_call);
-    let mode = crate::config::compute_mode();
-    for site in &installed.plan.sites {
-        if !site.trigger.fires(rel_call)
-            || site.routine.is_some_and(|r| r != routine)
-            || site.mode.is_some_and(|sm| sm != mode)
-            || m == 0
-            || n == 0
-        {
-            continue;
+    with_state(|s| {
+        let call = s.gemm_calls;
+        s.gemm_calls += 1;
+        if s.fault.is_none() {
+            return;
         }
-        let h = mix(installed.plan.seed ^ mix(call));
-        let (i, j) = (h as usize % m, (h >> 20) as usize % n);
-        c[i * ldc + j] = c[i * ldc + j].corrupted(site.kind, h >> 40);
-        INJECTED.fetch_add(1, Ordering::Relaxed);
-    }
+        let mode = s.mode();
+        let Some(installed) = &s.fault else { return };
+        let rel_call = call.saturating_sub(installed.base_call);
+        for site in &installed.plan.sites {
+            if !site.trigger.fires(rel_call)
+                || site.routine.is_some_and(|r| r != routine)
+                || site.mode.is_some_and(|sm| sm != mode)
+                || m == 0
+                || n == 0
+            {
+                continue;
+            }
+            let h = mix(installed.plan.seed ^ mix(call));
+            let (i, j) = (h as usize % m, (h >> 20) as usize % n);
+            c[i * ldc + j] = c[i * ldc + j].corrupted(site.kind, h >> 40);
+            s.injected_faults += 1;
+        }
+    });
 }
 
 #[cfg(test)]

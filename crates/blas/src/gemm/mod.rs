@@ -16,8 +16,10 @@ pub mod kernel;
 pub mod lowp;
 pub(crate) mod pack;
 
+use crate::abft::AbftElem;
 use crate::config::compute_mode;
 use crate::device::{Domain, GemmDesc};
+use crate::fault::FaultTarget;
 use crate::layout::{check_matrix, deinterleave_op, op_view_real, Op};
 use crate::mode::ComputeMode;
 use crate::verbose::logged;
@@ -48,8 +50,8 @@ fn stored_shapes(
 
 /// Single-precision real GEMM: `C ← α·op(A)·op(B) + β·C`.
 ///
-/// Honours the global compute mode: in the `FLOAT_TO_*` modes the product
-/// is computed on BF16/TF32 component matrices with FP32 accumulation.
+/// Honours the calling thread's compute mode: in the `FLOAT_TO_*` modes the
+/// product is computed on BF16/TF32 component matrices with FP32 accumulation.
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm(
     transa: Op,
@@ -68,17 +70,9 @@ pub fn sgemm(
 ) {
     let mode = compute_mode();
     let desc = GemmDesc { domain: Domain::Real32, m, n, k, mode };
-    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
-    logged("SGEMM", transa, transb, desc, || {
+    checked_gemm("SGEMM", desc, transa, transb, alpha, a, lda, b, ldb, beta, c, ldc, |c| {
         real_gemm_impl(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     });
-    crate::fault::post_gemm("SGEMM", c, m, n, ldc);
-    crate::abft::probe_nonfinite("SGEMM", c, m, n, k, ldc, mode);
-    if let Some(pre) = abft {
-        crate::abft::check_gemm(
-            "SGEMM", pre, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, mode,
-        );
-    }
 }
 
 /// Double-precision real GEMM. Alternative compute modes do not apply.
@@ -98,45 +92,41 @@ pub fn dgemm(
     c: &mut [f64],
     ldc: usize,
 ) {
-    let desc = GemmDesc { domain: Domain::Real64, m, n, k, mode: ComputeMode::Standard };
-    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
-    logged("DGEMM", transa, transb, desc, || {
-        real_gemm_impl(
-            ComputeMode::Standard,
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            b,
-            ldb,
-            beta,
-            c,
-            ldc,
-        );
+    let mode = ComputeMode::Standard;
+    let desc = GemmDesc { domain: Domain::Real64, m, n, k, mode };
+    checked_gemm("DGEMM", desc, transa, transb, alpha, a, lda, b, ldb, beta, c, ldc, |c| {
+        real_gemm_impl(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     });
-    crate::fault::post_gemm("DGEMM", c, m, n, ldc);
-    crate::abft::probe_nonfinite("DGEMM", c, m, n, k, ldc, ComputeMode::Standard);
+}
+
+/// The per-call protocol every GEMM wrapper shares: sample the call for
+/// ABFT, run `product` (timed and logged), apply the calling thread's
+/// fault plan, probe for non-finite output, then verify the sampled
+/// checksum. `desc.mode` is the mode the product runs in.
+#[allow(clippy::too_many_arguments)]
+fn checked_gemm<T: AbftElem + FaultTarget>(
+    routine: &'static str,
+    desc: GemmDesc,
+    transa: Op,
+    transb: Op,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    beta: T,
+    c: &mut [T],
+    ldc: usize,
+    product: impl FnOnce(&mut [T]),
+) {
+    let GemmDesc { m, n, k, mode, .. } = desc;
+    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
+    logged(routine, transa, transb, desc, || product(c));
+    crate::fault::post_gemm(routine, c, m, n, ldc);
+    crate::abft::probe_nonfinite(routine, c, m, n, k, ldc, mode);
     if let Some(pre) = abft {
         crate::abft::check_gemm(
-            "DGEMM",
-            pre,
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            b,
-            ldb,
-            c,
-            ldc,
-            ComputeMode::Standard,
+            routine, pre, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, mode,
         );
     }
 }
@@ -289,17 +279,9 @@ pub fn cgemm(
 ) {
     let mode = compute_mode();
     let desc = GemmDesc { domain: Domain::Complex32, m, n, k, mode };
-    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
-    logged("CGEMM", transa, transb, desc, || {
+    checked_gemm("CGEMM", desc, transa, transb, alpha, a, lda, b, ldb, beta, c, ldc, |c| {
         complex_gemm_impl(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     });
-    crate::fault::post_gemm("CGEMM", c, m, n, ldc);
-    crate::abft::probe_nonfinite("CGEMM", c, m, n, k, ldc, mode);
-    if let Some(pre) = abft {
-        crate::abft::check_gemm(
-            "CGEMM", pre, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, mode,
-        );
-    }
 }
 
 /// Double-precision complex GEMM. Honours `COMPLEX_3M` only.
@@ -324,17 +306,9 @@ pub fn zgemm(
         _ => ComputeMode::Standard,
     };
     let desc = GemmDesc { domain: Domain::Complex64, m, n, k, mode };
-    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
-    logged("ZGEMM", transa, transb, desc, || {
+    checked_gemm("ZGEMM", desc, transa, transb, alpha, a, lda, b, ldb, beta, c, ldc, |c| {
         complex_gemm_impl(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     });
-    crate::fault::post_gemm("ZGEMM", c, m, n, ldc);
-    crate::abft::probe_nonfinite("ZGEMM", c, m, n, k, ldc, mode);
-    if let Some(pre) = abft {
-        crate::abft::check_gemm(
-            "ZGEMM", pre, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, mode,
-        );
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -479,7 +453,7 @@ fn complex_product_3m<T: kernel::MicroArch>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{set_compute_mode, with_compute_mode};
+    use crate::config::with_compute_mode;
     use dcmesh_numerics::{c32, c64};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -533,7 +507,6 @@ mod tests {
 
     #[test]
     fn sgemm_matches_reference_all_ops() {
-        set_compute_mode(ComputeMode::Standard);
         let mut rng = StdRng::seed_from_u64(5);
         let (m, n, k) = (7, 9, 11);
         for &ta in &[Op::None, Op::Trans] {
@@ -665,7 +638,6 @@ mod tests {
 
     #[test]
     fn beta_zero_overwrites_nan() {
-        set_compute_mode(ComputeMode::Standard);
         let a = [1.0f32, 2.0];
         let b = [3.0f32, 4.0];
         let mut c = [f32::NAN];
@@ -681,7 +653,6 @@ mod tests {
 
     #[test]
     fn alpha_zero_skips_product() {
-        set_compute_mode(ComputeMode::Standard);
         // A deliberately contains NaN: with alpha == 0 BLAS must not touch it.
         let a = [f32::NAN];
         let b = [f32::NAN];
@@ -692,7 +663,6 @@ mod tests {
 
     #[test]
     fn leading_dimension_padding_respected() {
-        set_compute_mode(ComputeMode::Standard);
         // C has ldc = 3 with a padding column that must survive untouched.
         let a = [1.0f32, 0.0, 0.0, 1.0];
         let b = [1.0f32, 2.0, 3.0, 4.0];
@@ -754,7 +724,6 @@ mod tests {
         // buffer), and a downstream GEMM whose A has an all-zero row must
         // still surface the non-finite value in C as NaN — the pattern the
         // supervisor's health checks rely on.
-        set_compute_mode(ComputeMode::Standard);
         let k = 4;
         let n = 3;
         // B: k×n, finite, then corrupt one element with Inf the same way

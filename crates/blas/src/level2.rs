@@ -4,7 +4,7 @@
 //! a single orbital's coefficient vector, projecting one wave function)
 //! are GEMV-shaped. Level-2 routines are bandwidth-bound, so oneMKL's
 //! alternative compute modes do not accelerate them — like oneMKL, these
-//! run at native precision regardless of the global mode, and the
+//! run at native precision regardless of the active mode, and the
 //! verbose log records them with `mode = STANDARD`. For the same reason
 //! they never touch the [`crate::workspace`] pool: the kernels stream
 //! straight from the caller's matrix with no low-precision scratch to

@@ -2,9 +2,9 @@
 //!
 //! This crate is the stand-in for Intel oneMKL in the DCMESH precision
 //! study. It provides level-1 and level-3 BLAS routines over `f32`/`f64`
-//! and their complex counterparts, written in safe Rust and parallelised
-//! with rayon, plus faithful software implementations of oneMKL's
-//! alternative compute modes:
+//! and their complex counterparts, written in safe Rust (the `par_*`
+//! paths go through the workspace's sequential rayon shim), plus faithful
+//! software implementations of oneMKL's alternative compute modes:
 //!
 //! | Mode | Env value | Input representation | Products kept |
 //! |---|---|---|---|
@@ -18,10 +18,14 @@
 //! As in oneMKL, the mode is selected either through a runtime API
 //! ([`set_compute_mode`]) or through the `MKL_BLAS_COMPUTE_MODE`
 //! environment variable, and requires **no changes to call sites** — the
-//! whole point of the paper's methodology. An `MKL_VERBOSE`-equivalent
-//! call log ([`verbose`]) records routine name, dimensions, mode and both
-//! measured wall time and (when a device model is installed, see
-//! [`device`]) the modelled GPU execution time.
+//! whole point of the paper's methodology. Unlike oneMKL, the mode and
+//! all other run state (fault plan, ABFT sampler, call log, device model)
+//! belong to the calling thread, initialised from the environment on the
+//! thread's first BLAS call (see [`config`]), so two runs in one process
+//! cannot interfere. An `MKL_VERBOSE`-equivalent call log ([`verbose`])
+//! records routine name, dimensions, mode and both measured wall time and
+//! (when a device model is installed, see [`device`]) the modelled GPU
+//! execution time.
 //!
 //! Matrices are **row-major** with an explicit leading dimension (`ld` =
 //! elements between consecutive rows). Transposition/conjugation follow
@@ -59,12 +63,10 @@ pub mod mode;
 pub mod verbose;
 pub mod workspace;
 
-pub use config::{
-    compute_mode, reset_compute_mode, set_compute_mode, try_compute_mode, with_compute_mode,
-};
+pub use config::{compute_mode, set_compute_mode, try_compute_mode, with_compute_mode};
 pub use abft::{
-    abft_check_count, abft_installed, abft_violation_count, clear_abft, install_abft,
-    take_abft_violation, AbftViolation,
+    abft_check_count, abft_violation_count, clear_abft, install_abft, take_abft_violation,
+    AbftViolation,
 };
 pub use fault::{
     clear_fault_plan, install_bit_flip_plan, install_fault_plan, BitFlip, BitFlipPlan, FaultKind,

@@ -12,9 +12,11 @@
 //! work without touching the environment. Printing of per-call lines (the
 //! actual `MKL_VERBOSE` behaviour) happens at env level >= 1.
 //!
-//! The record store is a **bounded ring**: a run that makes millions of
-//! calls keeps only the most recent [`record_capacity`] records and counts
-//! the rest in [`dropped_records`]. Capacity comes from
+//! Each thread records into its own store, so [`drain`] returns exactly
+//! the calling thread's calls. The store is a **bounded ring**: a run
+//! that makes millions of calls keeps only the most recent
+//! [`record_capacity`] records and counts the rest in
+//! [`dropped_records`]. Capacity is process-wide and comes from
 //! [`MKL_VERBOSE_BUFFER_ENV`] or [`set_record_capacity`].
 //!
 //! Independently of recording, every call becomes a telemetry span when
@@ -25,15 +27,13 @@
 //! (`TELEMETRY_SAMPLE`, default 16) is recorded with a `sample_weight`
 //! attribute so the `profile` folder can rescale totals.
 
-use crate::config::verbose_level;
+use crate::config::{verbose_level, with_state};
 use crate::device::{Domain, GemmDesc};
 use crate::mode::ComputeMode;
 use crate::Op;
 use dcmesh_telemetry as telemetry;
 use dcmesh_telemetry::AttrValue;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -96,26 +96,27 @@ impl CallRecord {
     }
 }
 
-static RECORDING: AtomicBool = AtomicBool::new(false);
-static LOG: Mutex<VecDeque<CallRecord>> = Mutex::new(VecDeque::new());
 /// 0 means "not yet initialised from the environment".
 static RECORD_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-static DROPPED_RECORDS: AtomicU64 = AtomicU64::new(0);
 
-/// Enables or disables in-memory call recording.
+/// Enables or disables in-memory recording of the calling thread's calls.
 pub fn set_recording(on: bool) {
+    let dropped = with_state(|s| {
+        s.recording = on;
+        s.dropped_records
+    });
     if on {
         // Register the loss gauge up front so a scrape (or the profile
         // ingester's coverage check) sees an explicit zero rather than a
         // missing series when nothing has been dropped.
-        dropped_records_gauge().set(DROPPED_RECORDS.load(Ordering::Relaxed) as f64);
+        dropped_records_gauge().set(dropped as f64);
     }
-    RECORDING.store(on, Ordering::Release);
 }
 
-/// True when calls are being recorded (programmatic or via `MKL_VERBOSE`).
+/// True when the calling thread's calls are being recorded (programmatic
+/// or via `MKL_VERBOSE`).
 pub fn recording() -> bool {
-    RECORDING.load(Ordering::Acquire) || verbose_level() >= 1
+    with_state(|s| s.recording) || verbose_level() >= 1
 }
 
 fn record_capacity_total() -> usize {
@@ -143,9 +144,10 @@ pub fn record_capacity() -> usize {
     record_capacity_total()
 }
 
-/// Records discarded because the ring was full (oldest-first policy).
+/// The calling thread's records discarded because its ring was full
+/// (oldest-first policy).
 pub fn dropped_records() -> u64 {
-    DROPPED_RECORDS.load(Ordering::Relaxed)
+    with_state(|s| s.dropped_records)
 }
 
 fn dropped_records_gauge() -> &'static Arc<telemetry::metrics::Gauge> {
@@ -165,33 +167,31 @@ pub(crate) fn record(rec: CallRecord) {
         eprintln!("{}", rec.to_verbose_line());
     }
     let cap = record_capacity_total();
-    let mut log = LOG.lock();
-    let mut dropped = false;
-    while log.len() >= cap {
-        log.pop_front();
-        DROPPED_RECORDS.fetch_add(1, Ordering::Relaxed);
-        dropped = true;
-    }
-    log.push_back(rec);
-    if dropped {
-        dropped_records_gauge().set(DROPPED_RECORDS.load(Ordering::Relaxed) as f64);
+    let dropped = with_state(|s| {
+        let before = s.dropped_records;
+        while s.records.len() >= cap {
+            s.records.pop_front();
+            s.dropped_records += 1;
+        }
+        s.records.push_back(rec);
+        (s.dropped_records > before).then_some(s.dropped_records)
+    });
+    if let Some(total) = dropped {
+        dropped_records_gauge().set(total as f64);
     }
 }
 
-/// Removes and returns all recorded calls, oldest first.
+/// Removes and returns the calling thread's recorded calls, oldest first.
 pub fn drain() -> Vec<CallRecord> {
-    LOG.lock().drain(..).collect()
+    with_state(|s| s.records.drain(..).collect())
 }
 
-/// Returns a copy of the recorded calls without clearing.
-pub fn snapshot() -> Vec<CallRecord> {
-    LOG.lock().iter().cloned().collect()
-}
-
-/// Clears the log and the dropped-records counter.
+/// Clears the calling thread's log and dropped-records counter.
 pub fn clear() {
-    LOG.lock().clear();
-    DROPPED_RECORDS.store(0, Ordering::Relaxed);
+    with_state(|s| {
+        s.records.clear();
+        s.dropped_records = 0;
+    });
     dropped_records_gauge().set(0.0);
 }
 
@@ -271,9 +271,9 @@ fn pool_traffic() -> (u64, u64) {
 /// Helper used by the GEMM wrappers: wraps a computation with timing,
 /// logging, and telemetry. Returns the closure's result.
 ///
-/// The disabled path (no recording, `TELEMETRY=off`) is two relaxed
-/// atomic loads and a branch — measured by `telemetry_check
-/// --overhead-gate`.
+/// The disabled path (no recording, `TELEMETRY=off`) is the telemetry
+/// level load, a thread-local flag read, the cached `MKL_VERBOSE` level
+/// and a branch — measured by `telemetry_check --overhead-gate`.
 pub(crate) fn logged<R>(
     routine: &'static str,
     transa: Op,
@@ -406,38 +406,32 @@ mod tests {
 
     #[test]
     fn record_ring_bounds_and_counts_drops() {
-        // The log is process-global; serialise against other tests that
-        // might record by holding the telemetry override lock.
-        dcmesh_telemetry::with_level(dcmesh_telemetry::level(), || {
-            let saved = record_capacity();
-            clear();
-            set_record_capacity(3);
-            let before = dropped_records();
-            for i in 0..5 {
-                record(rec("SGEMM", i as f64));
-            }
-            assert_eq!(dropped_records() - before, 2);
-            let kept = drain();
-            assert_eq!(kept.len(), 3, "ring keeps only the newest records");
-            // Oldest-first drain: the survivors are calls 2, 3, 4.
-            assert!((kept[0].wall.as_secs_f64() - 2.0).abs() < 1e-12);
-            assert!((kept[2].wall.as_secs_f64() - 4.0).abs() < 1e-12);
-            set_record_capacity(saved);
-            clear();
-        });
+        let saved = record_capacity();
+        clear();
+        set_record_capacity(3);
+        let before = dropped_records();
+        for i in 0..5 {
+            record(rec("SGEMM", i as f64));
+        }
+        assert_eq!(dropped_records() - before, 2);
+        let kept = drain();
+        assert_eq!(kept.len(), 3, "ring keeps only the newest records");
+        // Oldest-first drain: the survivors are calls 2, 3, 4.
+        assert!((kept[0].wall.as_secs_f64() - 2.0).abs() < 1e-12);
+        assert!((kept[2].wall.as_secs_f64() - 4.0).abs() < 1e-12);
+        set_record_capacity(saved);
+        clear();
     }
 
     #[test]
     fn drain_preserves_insertion_order() {
-        dcmesh_telemetry::with_level(dcmesh_telemetry::level(), || {
-            clear();
-            record(rec("SGEMM", 1.0));
-            record(rec("CGEMM", 2.0));
-            let out = drain();
-            assert_eq!(out.len(), 2);
-            assert_eq!(out[0].routine, "SGEMM");
-            assert_eq!(out[1].routine, "CGEMM");
-            assert!(drain().is_empty());
-        });
+        clear();
+        record(rec("SGEMM", 1.0));
+        record(rec("CGEMM", 2.0));
+        let out = drain();
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].routine, "SGEMM");
+        assert_eq!(out[1].routine, "CGEMM");
+        assert!(drain().is_empty());
     }
 }

@@ -1,10 +1,4 @@
 //! End-to-end ABFT checksum verification against injected bit flips.
-//!
-//! Lives in its own integration binary because both the fault plan and
-//! the ABFT sampler are process-global: unit tests running in parallel
-//! in the library binary would consume one-shot triggers or shift the
-//! shared GEMM call counter. Within this binary a mutex serialises the
-//! tests for the same reason.
 
 use mkl_lite::{
     abft_check_count, cgemm, clear_abft, clear_fault_plan, dgemm, install_abft,
@@ -15,16 +9,6 @@ use mkl_lite::{
 use dcmesh_numerics::{c32, c64, C32, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
-
-static ABFT_LOCK: Mutex<()> = Mutex::new(());
-
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    let guard = ABFT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_fault_plan();
-    clear_abft();
-    guard
-}
 
 fn rand_f64(rng: &mut StdRng, len: usize) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
@@ -42,7 +26,6 @@ fn rand_c32(rng: &mut StdRng, len: usize) -> Vec<C32> {
 
 #[test]
 fn clean_gemms_pass_in_every_mode() {
-    let _g = locked();
     install_abft(1);
     let mut rng = StdRng::seed_from_u64(11);
     let (m, n, k) = (13, 9, 40);
@@ -84,7 +67,6 @@ fn clean_gemms_pass_in_every_mode() {
 
 #[test]
 fn exponent_flip_is_detected_and_reported() {
-    let _g = locked();
     install_abft(1);
     // Flip a high exponent bit of one output element of the next call:
     // finite but ~2^512 off — invisible to non-finite health checks.
@@ -107,7 +89,6 @@ fn exponent_flip_is_detected_and_reported() {
 
 #[test]
 fn complex_flip_detected_with_beta_accumulation() {
-    let _g = locked();
     install_abft(1);
     install_bit_flip_plan(&BitFlipPlan::new(9).with_flip(0, 61));
     let mut rng = StdRng::seed_from_u64(13);
@@ -137,7 +118,6 @@ fn complex_flip_detected_with_beta_accumulation() {
 
 #[test]
 fn sampling_period_skips_unsampled_calls() {
-    let _g = locked();
     install_abft(3);
     let a = vec![1.0f64; 4];
     let b = vec![1.0f64; 4];
@@ -155,7 +135,6 @@ fn sampling_period_skips_unsampled_calls() {
 fn unsampled_flip_escapes_sampled_check() {
     // The documented coverage boundary: 1-in-N sampling misses flips on
     // unchecked calls. (Those are the domain of verify_bursts.)
-    let _g = locked();
     install_abft(2); // checks relative calls 0, 2, 4, ...
     install_bit_flip_plan(&BitFlipPlan::new(1).with_flip(1, 61));
     let a = vec![1.0f64; 9];
@@ -171,7 +150,6 @@ fn unsampled_flip_escapes_sampled_check() {
 
 #[test]
 fn nan_in_output_violates() {
-    let _g = locked();
     install_abft(1);
     install_fault_plan(FaultPlan::new(1).with_site(FaultSite::once(0, FaultKind::Nan)));
     let a = vec![1.0f64; 9];

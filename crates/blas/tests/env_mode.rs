@@ -3,9 +3,9 @@
 //! call sites.
 //!
 //! This lives in its own integration-test binary so the environment
-//! variable is set before the library's lazy global initialisation runs —
-//! exactly how the artifact's `export MKL_BLAS_COMPUTE_MODE=...` workflow
-//! behaves for a fresh process.
+//! variable is set before any thread makes its first BLAS call — exactly
+//! how the artifact's `export MKL_BLAS_COMPUTE_MODE=...` workflow behaves
+//! for a fresh process.
 
 use dcmesh_numerics::{c32, C32};
 use mkl_lite::{cgemm, ComputeMode, Op};

@@ -1,19 +1,11 @@
 //! End-to-end guarantee behind the zero-skip removal in the GEMM kernel:
 //! a fault-injected Inf must stay visible through downstream products,
 //! even when the row of A multiplying it is all zeros (0·Inf = NaN).
-//!
-//! Lives in its own integration binary because a [`FaultPlan`] is
-//! process-global: unit tests running in parallel in the library binary
-//! could consume the one-shot trigger or receive the corruption instead.
 
-use mkl_lite::{
-    clear_fault_plan, install_fault_plan, set_compute_mode, sgemm, ComputeMode, FaultKind,
-    FaultPlan, FaultSite, Op,
-};
+use mkl_lite::{clear_fault_plan, install_fault_plan, sgemm, FaultKind, FaultPlan, FaultSite, Op};
 
 #[test]
 fn fault_plan_inf_visible_through_downstream_gemm() {
-    set_compute_mode(ComputeMode::Standard);
     let n = 3;
     let ident: Vec<f32> = (0..n * n).map(|i| if i % (n + 1) == 0 { 1.0 } else { 0.0 }).collect();
     let ones = vec![1.0f32; n * n];

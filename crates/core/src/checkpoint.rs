@@ -11,7 +11,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dcmesh_lfd::{LfdParams, LfdState};
-use dcmesh_numerics::{Complex, Real};
+use dcmesh_numerics::{fnv1a64, Complex, Real};
 use dcmesh_qxmd::{AtomicSystem, Species};
 use std::fmt;
 
@@ -23,20 +23,6 @@ const MAGIC: &[u8; 8] = b"DCMESHCK";
 /// the first half-kick. Version 2 added the payload checksum. Older
 /// files are rejected.
 const VERSION: u32 = 3;
-
-/// FNV-1a/64 over the payload — detects any bit flip in the body, so a
-/// corrupted checkpoint is quarantined at load instead of silently
-/// seeding a wrong-but-plausible resumed trajectory. Also reused by
-/// [`crate::config::RunConfig::deck_hash`] to fingerprint decks for the
-/// ledger archive.
-pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// A complete restart point.
 #[derive(Clone, Debug)]
@@ -218,6 +204,9 @@ impl<T: Real> Checkpoint<T> {
         framed.put_slice(MAGIC);
         framed.put_u32_le(VERSION);
         framed.put_u8(width_of::<T>());
+        // The payload checksum detects any bit flip in the body, so a
+        // corrupted checkpoint is quarantined at load instead of seeding a
+        // wrong-but-plausible resumed trajectory.
         framed.put_u64_le(fnv1a64(payload.as_ref()));
         framed.put_slice(payload.as_ref());
         framed.freeze()
@@ -378,7 +367,6 @@ mod tests {
     use dcmesh_lfd::state::cosine_potential;
     use dcmesh_lfd::{LaserPulse, Mesh3};
     use dcmesh_qxmd::pto_supercell;
-    use mkl_lite::{set_compute_mode, ComputeMode};
 
     fn params() -> LfdParams {
         LfdParams {
@@ -394,7 +382,6 @@ mod tests {
     }
 
     fn make_checkpoint() -> (LfdParams, Checkpoint<f32>) {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut state = LfdState::<f32>::initialize(&p, cosine_potential(&p.mesh, 0.2));
         let mut scratch = QdScratch::new(&p);
@@ -425,7 +412,6 @@ mod tests {
     #[test]
     fn restart_continues_bitwise_identically() {
         // 7 + 5 steps straight through vs 7, checkpoint, restore, 5 more.
-        set_compute_mode(ComputeMode::Standard);
         let (p, ck) = make_checkpoint();
         let mut straight = ck.state.clone();
         let mut scratch = QdScratch::new(&p);

@@ -246,7 +246,7 @@ impl RunConfig {
     /// text (such a config cannot be sharded or archived by deck).
     pub fn deck_hash(&self) -> Option<String> {
         let text = self.to_deck_text().ok()?;
-        Some(format!("0x{:016x}", crate::checkpoint::fnv1a64(text.as_bytes())))
+        Some(format!("0x{:016x}", dcmesh_numerics::fnv1a64(text.as_bytes())))
     }
 
     /// Sanity checks.

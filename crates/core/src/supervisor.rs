@@ -295,8 +295,8 @@ pub fn run_supervised_observed<T: LfdScalar>(
     params.validate();
 
     // SDC defense: sampled GEMM checksums for the duration of the run.
-    // The guard clears the process-global installation on every exit
-    // path so an error return cannot leak checks into later runs.
+    // The guard clears the thread's installation on every exit path so
+    // an error return cannot leak checks into later runs on the thread.
     struct AbftGuard(bool);
     impl Drop for AbftGuard {
         fn drop(&mut self) {

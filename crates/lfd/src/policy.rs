@@ -88,8 +88,8 @@ impl CallSite {
 /// A precision policy: which compute mode each call site runs in.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum PrecisionPolicy {
-    /// Use whatever mode is globally active (the paper's env-var
-    /// behaviour — one mode for the whole process).
+    /// Use whatever mode is active on the calling thread (by default the
+    /// `MKL_BLAS_COMPUTE_MODE` value — the paper's env-var behaviour).
     #[default]
     Ambient,
     /// An explicit mode per call site.
@@ -138,7 +138,7 @@ impl PrecisionPolicy {
     }
 
     /// The mode a site will run in, or `None` for Ambient (decided at
-    /// call time by the global configuration).
+    /// call time by the calling thread's configuration).
     pub fn mode_for(&self, site: CallSite) -> Option<ComputeMode> {
         match self {
             PrecisionPolicy::Ambient => None,
@@ -196,7 +196,6 @@ mod tests {
             assert_eq!(seen, ComputeMode::FloatToBf16);
         });
         // ... and restores afterwards.
-        mkl_lite::set_compute_mode(ComputeMode::Standard);
         assert_eq!(mkl_lite::compute_mode(), ComputeMode::Standard);
     }
 

@@ -65,15 +65,6 @@ pub struct RunRecord {
     pub entries: Vec<Row>,
 }
 
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Default archive path under an archive root directory.
 pub fn runs_path(archive_dir: &Path) -> PathBuf {
     archive_dir.join("runs.jsonl")
@@ -201,7 +192,7 @@ pub fn collect_run(
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "run".to_string());
     let row_bytes: String = rec.entries.iter().map(ledger::row_json).collect();
-    rec.run_id = format!("{dir_name}-{:016x}", fnv1a64(row_bytes.as_bytes()));
+    rec.run_id = format!("{dir_name}-{:016x}", dcmesh_numerics::fnv1a64(row_bytes.as_bytes()));
     Ok(rec)
 }
 
